@@ -1,6 +1,7 @@
 //! End-to-end round benchmarks: one communication round of SAPS-PSGD vs
-//! D-PSGD on the scaled workload, and one full-size single-model SGD
-//! step for each Table II architecture.
+//! D-PSGD on the scaled workload, one full-size single-model SGD step
+//! for each Table II architecture, and one `resnet_tiny` step at the
+//! batch the scaled ResNet workload trains with.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -61,6 +62,14 @@ fn bench_full_size_models(c: &mut Criterion) {
         let ds = SyntheticSpec::cifar10_like().samples(16).generate(1);
         let batch = ds.sample_batch(2, &mut rng);
         b.iter(|| black_box(model.train_step(&batch, 0.1)))
+    });
+
+    g.bench_function("resnet_tiny_batch32", |b| {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut model = zoo::resnet_tiny(&mut rng);
+        let ds = SyntheticSpec::tiny().features(256).samples(64).generate(1);
+        let batch = ds.sample_batch(32, &mut rng);
+        b.iter(|| black_box(model.train_step(&batch, 0.05)))
     });
     g.finish();
 }

@@ -17,8 +17,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.cached_input = train.then(|| input.clone());
         input.map(|v| v.max(0.0))
     }
 
@@ -66,9 +66,9 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let out = input.map(f32::tanh);
-        self.cached_output = Some(out.clone());
+        self.cached_output = train.then(|| out.clone());
         out
     }
 
@@ -135,5 +135,15 @@ mod tests {
         let r = Relu::new();
         assert_eq!(r.param_count(), 0);
         assert!(r.grads().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "without a preceding forward")]
+    fn relu_backward_after_eval_forward_panics() {
+        let mut r = Relu::new();
+        let x = Tensor::full(&[2], 1.0);
+        r.forward(&x, true);
+        r.forward(&x, false);
+        let _ = r.backward(&x);
     }
 }

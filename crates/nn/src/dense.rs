@@ -43,7 +43,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(input.shape().len(), 2, "Dense expects [batch, in_dim]");
         assert_eq!(input.shape()[1], self.in_dim(), "input dim mismatch");
         let mut out = input.matmul(&self.w);
@@ -55,7 +55,7 @@ impl Layer for Dense {
                 data[r * od + c] += b[c];
             }
         }
-        self.cached_input = Some(input.clone());
+        self.cached_input = train.then(|| input.clone());
         out
     }
 
@@ -191,6 +191,17 @@ mod tests {
     fn backward_requires_forward() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut d = Dense::new(2, 2, &mut rng);
+        let _ = d.backward(&Tensor::zeros(&[1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "without a preceding forward")]
+    fn backward_after_eval_forward_panics() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut d = Dense::new(2, 2, &mut rng);
+        let x = Tensor::full(&[1, 2], 1.0);
+        d.forward(&x, true);
+        d.forward(&x, false);
         let _ = d.backward(&Tensor::zeros(&[1, 2]));
     }
 }

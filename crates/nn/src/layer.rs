@@ -4,11 +4,12 @@ use saps_tensor::Tensor;
 
 /// A differentiable layer.
 ///
-/// The contract is classic define-by-run backprop:
+/// The contract is classic define-by-run backprop: a training-mode
 /// [`Layer::forward`] caches whatever it needs, and the next
 /// [`Layer::backward`] call consumes that cache (one backward per
-/// forward). Parameter gradients accumulate into the layer until
-/// [`Layer::zero_grads`].
+/// forward). An eval-mode forward caches nothing and drops any earlier
+/// cache, so a backward after it panics. Parameter gradients accumulate
+/// into the layer until [`Layer::zero_grads`].
 ///
 /// `Send + Sync` are supertraits so whole models can move between the
 /// round engine's worker threads (and be read through `&` from several
@@ -16,7 +17,8 @@ use saps_tensor::Tensor;
 /// mutability, so every implementation satisfies both for free.
 pub trait Layer: Send + Sync {
     /// Computes the layer output. `train` distinguishes training-mode
-    /// behaviour (e.g. batch-norm statistics).
+    /// behaviour (e.g. batch-norm statistics) and whether the backward
+    /// cache is kept.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Back-propagates `grad_out` (gradient w.r.t. this layer's output),

@@ -193,7 +193,6 @@ pub struct ResidualBlock {
     conv2: Conv2d,
     bn2: BatchNorm,
     projection: Option<(Conv2d, BatchNorm)>,
-    cached_input: Option<Tensor>,
     cached_pre_relu: Option<Tensor>,
 }
 
@@ -225,7 +224,6 @@ impl ResidualBlock {
             conv2,
             bn2: BatchNorm::new(out_channels),
             projection,
-            cached_input: None,
             cached_pre_relu: None,
         }
     }
@@ -246,9 +244,9 @@ impl Layer for ResidualBlock {
             None => input.clone(),
         };
         let pre = main.add(&shortcut);
-        self.cached_pre_relu = Some(pre.clone());
-        self.cached_input = Some(input.clone());
-        pre.map(|v| v.max(0.0))
+        let out = pre.map(|v| v.max(0.0));
+        self.cached_pre_relu = train.then_some(pre);
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -279,7 +277,6 @@ impl Layer for ResidualBlock {
             }
             None => grad_pre,
         };
-        self.cached_input = None;
         grad_in_main.add(&grad_in_shortcut)
     }
 
@@ -512,5 +509,16 @@ mod tests {
         let a = tiny_mlp(&mut r1);
         let b = tiny_mlp(&mut r2);
         assert_eq!(a.flat_params(), b.flat_params());
+    }
+
+    #[test]
+    #[should_panic(expected = "without a preceding forward")]
+    fn residual_backward_after_eval_forward_panics() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut block = ResidualBlock::new(2, 4, 2, 4, 4, &mut rng);
+        let x = Tensor::randn(&[2, 2, 4, 4], 1.0, &mut rng);
+        let y = block.forward(&x, true);
+        block.forward(&x, false);
+        let _ = block.backward(&Tensor::full(y.shape(), 1.0));
     }
 }

@@ -43,7 +43,7 @@ impl BatchNorm {
         }
     }
 
-    /// Decomposes a supported shape into `(batch, channels, spatial)`.
+    /// Decomposes a supported shape into `(batch, spatial)`.
     fn plan(&self, shape: &[usize]) -> (usize, usize) {
         match shape.len() {
             2 => {
@@ -57,13 +57,12 @@ impl BatchNorm {
             _ => panic!("BatchNorm expects 2-D or 4-D input"),
         }
     }
+}
 
-    /// Iterates `(flat_index, channel)` for a given layout — helper to keep
-    /// forward/backward loops identical.
-    #[inline]
-    fn channel_of(&self, i: usize, spatial: usize) -> usize {
-        (i / spatial) % self.channels
-    }
+/// Splits NCHW (or `[batch, features]`, `spatial = 1`) data into its
+/// `(channel, plane)` pairs in memory order.
+fn planes(data: &[f32], channels: usize, spatial: usize) -> impl Iterator<Item = (usize, &[f32])> {
+    (0..channels).cycle().zip(data.chunks_exact(spatial))
 }
 
 impl Layer for BatchNorm {
@@ -76,15 +75,22 @@ impl Layer for BatchNorm {
         let (mean, var) = if train {
             let mut mean = vec![0.0f32; c];
             let mut var = vec![0.0f32; c];
-            for (i, &v) in x.iter().enumerate() {
-                mean[self.channel_of(i, spatial)] += v;
+            for (ch, plane) in planes(x, c, spatial) {
+                let mut sum = mean[ch];
+                for &v in plane {
+                    sum += v;
+                }
+                mean[ch] = sum;
             }
             for mu in &mut mean {
                 *mu /= m;
             }
-            for (i, &v) in x.iter().enumerate() {
-                let ch = self.channel_of(i, spatial);
-                var[ch] += (v - mean[ch]) * (v - mean[ch]);
+            for (ch, plane) in planes(x, c, spatial) {
+                let (mu, mut sum) = (mean[ch], var[ch]);
+                for &v in plane {
+                    sum += (v - mu) * (v - mu);
+                }
+                var[ch] = sum;
             }
             for s in &mut var {
                 *s /= m;
@@ -101,16 +107,30 @@ impl Layer for BatchNorm {
         let inv_std: Vec<f32> = var.iter().map(|&s| 1.0 / (s + EPS).sqrt()).collect();
         let g = self.gamma.data();
         let b = self.beta.data();
-        let mut xhat = vec![0.0f32; x.len()];
         let mut out = vec![0.0f32; x.len()];
-        for (i, &v) in x.iter().enumerate() {
-            let ch = self.channel_of(i, spatial);
-            let h = (v - mean[ch]) * inv_std[ch];
-            xhat[i] = h;
-            out[i] = g[ch] * h + b[ch];
+        // x̂ is only kept for backward, so eval mode never materializes it.
+        let mut xhat = if train {
+            vec![0.0f32; x.len()]
+        } else {
+            Vec::new()
+        };
+        for (i, (ch, plane)) in planes(x, c, spatial).enumerate() {
+            let (mu, is, gc, bc) = (mean[ch], inv_std[ch], g[ch], b[ch]);
+            let span = i * spatial..(i + 1) * spatial;
+            if train {
+                let dst = xhat[span.clone()].iter_mut().zip(&mut out[span]);
+                for ((h, o), &v) in dst.zip(plane) {
+                    *h = (v - mu) * is;
+                    *o = gc * *h + bc;
+                }
+            } else {
+                for (o, &v) in out[span].iter_mut().zip(plane) {
+                    *o = gc * ((v - mu) * is) + bc;
+                }
+            }
         }
+        self.cached_xhat = train.then(|| Tensor::from_vec(xhat, input.shape()));
         if train {
-            self.cached_xhat = Some(Tensor::from_vec(xhat, input.shape()));
             self.cached_inv_std = inv_std;
         }
         Tensor::from_vec(out, input.shape())
@@ -130,10 +150,13 @@ impl Layer for BatchNorm {
         // Per-channel sums.
         let mut sum_dy = vec![0.0f32; c];
         let mut sum_dy_xhat = vec![0.0f32; c];
-        for i in 0..dy.len() {
-            let ch = self.channel_of(i, spatial);
-            sum_dy[ch] += dy[i];
-            sum_dy_xhat[ch] += dy[i] * xh[i];
+        for ((ch, dy), xh) in planes(dy, c, spatial).zip(xh.chunks_exact(spatial)) {
+            let (mut s, mut sx) = (sum_dy[ch], sum_dy_xhat[ch]);
+            for (&d, &h) in dy.iter().zip(xh) {
+                s += d;
+                sx += d * h;
+            }
+            (sum_dy[ch], sum_dy_xhat[ch]) = (s, sx);
         }
         for ch in 0..c {
             self.grad_beta.data_mut()[ch] += sum_dy[ch];
@@ -141,10 +164,16 @@ impl Layer for BatchNorm {
         }
         let g = self.gamma.data();
         let mut gin = vec![0.0f32; dy.len()];
-        for i in 0..dy.len() {
-            let ch = self.channel_of(i, spatial);
-            gin[i] = g[ch] * self.cached_inv_std[ch] / m
-                * (m * dy[i] - sum_dy[ch] - xh[i] * sum_dy_xhat[ch]);
+        for (i, ((ch, dy), xh)) in planes(dy, c, spatial)
+            .zip(xh.chunks_exact(spatial))
+            .enumerate()
+        {
+            let scale = g[ch] * self.cached_inv_std[ch] / m;
+            let (sdy, sdx) = (sum_dy[ch], sum_dy_xhat[ch]);
+            let dst = &mut gin[i * spatial..(i + 1) * spatial];
+            for ((o, &d), &h) in dst.iter_mut().zip(dy).zip(xh) {
+                *o = scale * (m * d - sdy - h * sdx);
+            }
         }
         Tensor::from_vec(gin, grad_out.shape())
     }
@@ -263,5 +292,97 @@ mod tests {
     fn params_are_gamma_beta() {
         let bn = BatchNorm::new(4);
         assert_eq!(bn.param_count(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "without a preceding training forward")]
+    fn backward_after_eval_forward_panics() {
+        let mut bn = BatchNorm::new(2);
+        let x = Tensor::full(&[2, 2, 2, 2], 1.0);
+        bn.forward(&x, true);
+        bn.forward(&x, false);
+        let _ = bn.backward(&x);
+    }
+
+    /// Naive batch norm over flat indices — channel `(i / spatial) % C`,
+    /// every per-channel sum accumulated in ascending `i` — returning
+    /// the training output, the eval output (from the running statistics
+    /// that training forward leaves behind), dγ, dβ and dx.
+    fn naive(x: &Tensor, dy: &Tensor, gamma: &[f32], beta: &[f32]) -> [Vec<f32>; 5] {
+        let c = gamma.len();
+        let spatial = x.shape()[2..].iter().product::<usize>();
+        let m = (x.len() / c) as f32;
+        let ch = |i: usize| (i / spatial) % c;
+        let (x, dy) = (x.data(), dy.data());
+        let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for (i, &v) in x.iter().enumerate() {
+            mean[ch(i)] += v;
+        }
+        mean.iter_mut().for_each(|mu| *mu /= m);
+        for (i, &v) in x.iter().enumerate() {
+            var[ch(i)] += (v - mean[ch(i)]) * (v - mean[ch(i)]);
+        }
+        var.iter_mut().for_each(|s| *s /= m);
+        let normalize = |mean: &[f32], var: &[f32]| -> (Vec<f32>, Vec<f32>) {
+            let inv: Vec<f32> = var.iter().map(|&s| 1.0 / (s + EPS).sqrt()).collect();
+            let xhat: Vec<f32> = (0..x.len())
+                .map(|i| (x[i] - mean[ch(i)]) * inv[ch(i)])
+                .collect();
+            let y = (0..x.len())
+                .map(|i| gamma[ch(i)] * xhat[i] + beta[ch(i)])
+                .collect();
+            (xhat, y)
+        };
+        let (xhat, y) = normalize(&mean, &var);
+        let run_mean: Vec<f32> = mean.iter().map(|&mu| 0.9 * 0.0 + 0.1 * mu).collect();
+        let run_var: Vec<f32> = var.iter().map(|&s| 0.9 * 1.0 + 0.1 * s).collect();
+        let (_, y_eval) = normalize(&run_mean, &run_var);
+        let inv: Vec<f32> = var.iter().map(|&s| 1.0 / (s + EPS).sqrt()).collect();
+        let (mut sdy, mut sdx) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for i in 0..x.len() {
+            sdy[ch(i)] += dy[i];
+            sdx[ch(i)] += dy[i] * xhat[i];
+        }
+        let gx = (0..x.len())
+            .map(|i| {
+                let k = ch(i);
+                gamma[k] * inv[k] / m * (m * dy[i] - sdy[k] - xhat[i] * sdx[k])
+            })
+            .collect();
+        [y, y_eval, sdx, sdy, gx]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn forward_and_backward_match_naive_bits() {
+        for (seed, shape) in [[32, 8, 16, 16], [32, 16, 8, 8], [3, 5, 3, 7], [64, 4, 1, 1]]
+            .iter()
+            .enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(10 + seed as u64);
+            let c = shape[1];
+            let mut bn = BatchNorm::new(c);
+            bn.gamma = Tensor::randn(&[c], 1.0, &mut rng);
+            bn.beta = Tensor::randn(&[c], 1.0, &mut rng);
+            let x = Tensor::randn(shape, 2.0, &mut rng).map(|v| v + 0.5);
+            let dy = Tensor::randn(shape, 1.0, &mut rng);
+            let [y, y_eval, dgamma, dbeta, gx] = naive(&x, &dy, bn.gamma.data(), bn.beta.data());
+            assert_eq!(bits(bn.forward(&x, true).data()), bits(&y), "y {shape:?}");
+            assert_eq!(bits(bn.backward(&dy).data()), bits(&gx), "dx {shape:?}");
+            assert_eq!(
+                bits(bn.grads()[0].data()),
+                bits(&dgamma),
+                "dgamma {shape:?}"
+            );
+            assert_eq!(bits(bn.grads()[1].data()), bits(&dbeta), "dbeta {shape:?}");
+            assert_eq!(
+                bits(bn.forward(&x, false).data()),
+                bits(&y_eval),
+                "eval y {shape:?}"
+            );
+        }
     }
 }

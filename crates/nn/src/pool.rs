@@ -44,7 +44,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(
             input.shape(),
             &[input.shape()[0], self.channels, self.in_h, self.in_w],
@@ -78,7 +78,7 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        self.cached_argmax = Some(argmax);
+        self.cached_argmax = train.then_some(argmax);
         self.cached_batch = batch;
         Tensor::from_vec(out, &[batch, c, oh, ow])
     }

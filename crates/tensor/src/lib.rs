@@ -6,8 +6,11 @@
 //! * [`Tensor`] — an `f32`, row-major, n-dimensional dense tensor used by the
 //!   neural-network substrate (`saps-nn`) for parameters, activations and
 //!   gradients. It is deliberately small: just the operations the paper's
-//!   models need (GEMM, element-wise arithmetic, reductions, im2col-friendly
-//!   indexing).
+//!   models need (GEMM, element-wise arithmetic, reductions). Its three
+//!   matrix products are thin wrappers over one packed, register-tiled
+//!   GEMM that is bit-identical to the plain ascending-k loop: every
+//!   output starts at `+0.0` and adds `a·b` in ascending inner index, with
+//!   no fused multiply-add and shape-only blocking, single-threaded.
 //! * [`Mat`] — an `f64`, row-major matrix used for the *spectral* analysis of
 //!   gossip matrices (`saps-gossip`): matrix products, symmetrization, and a
 //!   deflated power-iteration eigensolver that extracts the second-largest
@@ -31,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+mod gemm;
 mod mat;
 pub mod ops;
 pub mod rng;

@@ -1,15 +1,17 @@
 //! The `f32` dense tensor used by the neural-network substrate.
 
+use crate::gemm::{gemm, View};
 use crate::TensorError;
 use rand::distributions::Distribution;
 use rand::Rng;
 
 /// A row-major, `f32`, n-dimensional dense tensor.
 ///
-/// `Tensor` is the parameter/activation container for `saps-nn`. It favours
-/// simplicity and determinism over raw speed: all operations are
-/// single-threaded and allocation-explicit so that distributed-training
-/// experiments are bit-for-bit reproducible.
+/// `Tensor` is the parameter/activation container for `saps-nn`. Its
+/// operations are single-threaded and allocation-explicit, and every
+/// reduction has a fixed order, so distributed-training experiments are
+/// bit-for-bit reproducible; the matrix products run on one packed,
+/// register-tiled GEMM that keeps that order (see `matmul`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
@@ -210,84 +212,51 @@ impl Tensor {
 
     /// 2-D matrix product. Both operands must be 2-D with inner dims equal.
     ///
-    /// Uses a cache-friendly ikj loop ordering; good enough for the small
-    /// models the paper evaluates.
+    /// Runs the packed, register-tiled GEMM shared by all three products;
+    /// each output is summed from `+0.0` in ascending inner index with no
+    /// fused multiply-add, so results are bit-reproducible.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul: lhs must be 2-D");
-        assert_eq!(other.shape.len(), 2, "matmul: rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let (m, k) = self.dims2("matmul: lhs");
+        let (k2, n) = other.dims2("matmul: rhs");
         assert_eq!(k, k2, "matmul: inner dimensions must agree");
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (kk, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[kk * n..(kk + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        let a = View::row_major(&self.data, k);
+        let bt = View::col_major(&other.data, n);
         Tensor {
             shape: vec![m, n],
-            data: out,
+            data: gemm(m, k, n, a, bt),
         }
     }
 
     /// Matrix product with the *transpose* of `other`: `self * otherᵀ`.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_t: lhs must be 2-D");
-        assert_eq!(other.shape.len(), 2, "matmul_t: rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
+        let (m, k) = self.dims2("matmul_t: lhs");
+        let (n, k2) = other.dims2("matmul_t: rhs");
         assert_eq!(k, k2, "matmul_t: inner dimensions must agree");
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                out[i * n + j] = acc;
-            }
-        }
+        let a = View::row_major(&self.data, k);
+        let bt = View::row_major(&other.data, k);
         Tensor {
             shape: vec![m, n],
-            data: out,
+            data: gemm(m, k, n, a, bt),
         }
     }
 
     /// Matrix product of the transpose of `self` with `other`: `selfᵀ * other`.
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "t_matmul: lhs must be 2-D");
-        assert_eq!(other.shape.len(), 2, "t_matmul: rhs must be 2-D");
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let (k, m) = self.dims2("t_matmul: lhs");
+        let (k2, n) = other.dims2("t_matmul: rhs");
         assert_eq!(k, k2, "t_matmul: inner dimensions must agree");
-        let mut out = vec![0.0f32; m * n];
-        for kk in 0..k {
-            let arow = &self.data[kk * m..(kk + 1) * m];
-            let brow = &other.data[kk * n..(kk + 1) * n];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        let a = View::col_major(&self.data, m);
+        let bt = View::col_major(&other.data, n);
         Tensor {
             shape: vec![m, n],
-            data: out,
+            data: gemm(m, k, n, a, bt),
         }
+    }
+
+    /// The two dimensions of a 2-D tensor; `what` names it in the panic.
+    fn dims2(&self, what: &str) -> (usize, usize) {
+        assert_eq!(self.shape.len(), 2, "{what} must be 2-D");
+        (self.shape[0], self.shape[1])
     }
 
     /// 2-D transpose.
